@@ -19,7 +19,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/gates"
-	"repro/internal/pathfinder"
 	"repro/internal/place"
 	"repro/internal/qasm"
 	"repro/internal/qasmgen"
@@ -546,47 +545,4 @@ func BenchmarkExtDefectSweep(b *testing.B) {
 			b.ReportMetric(float64(len(defects)), "dead_channels")
 		})
 	}
-}
-
-// BenchmarkExtPathFinder compares PathFinder's negotiated batch
-// routing against naive independent shortest paths for a batch of
-// simultaneous trips on the capacity-1 (QUALE-era) fabric graph.
-func BenchmarkExtPathFinder(b *testing.B) {
-	tech := gates.Default()
-	tech.ChannelCapacity = 1
-	g := routegraph.New(benchFabric, tech, routegraph.Options{TurnAware: false})
-	rng := rand.New(rand.NewSource(5))
-	// Endpoints must sit on distinct channels: with capacity 1 two
-	// trips sharing one trap-access channel can never coexist.
-	usedChannel := map[int]bool{}
-	pick := func() int {
-		for {
-			tr := rng.Intn(len(benchFabric.Traps))
-			ch := benchFabric.Traps[tr].Channel
-			if !usedChannel[ch] {
-				usedChannel[ch] = true
-				return tr
-			}
-		}
-	}
-	var nets []pathfinder.Net
-	for i := 0; i < 12; i++ {
-		nets = append(nets, pathfinder.Net{ID: i, From: pick(), To: pick()})
-	}
-	b.Run("negotiated", func(b *testing.B) {
-		var iters int
-		feasible := false
-		for i := 0; i < b.N; i++ {
-			res, err := pathfinder.Route(g, nets, pathfinder.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			iters = res.Iterations
-			feasible = res.Feasible
-		}
-		b.ReportMetric(float64(iters), "iterations")
-		if !feasible {
-			b.Log("negotiation did not converge")
-		}
-	})
 }

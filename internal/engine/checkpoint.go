@@ -562,10 +562,10 @@ func (s *Sim) RunFrom(cp *Checkpoint, delta Delta) (*Result, error) {
 	// ---- mutation starts here: all validation has passed ----
 	s.restoreFrom(cp)
 	for _, m := range delta {
-		from := s.trapOf[m.Qubit]
-		if from == m.To {
-			continue
+		if m.To == base[m.Qubit] {
+			continue // a no-op move, unconstrained as in Frontier
 		}
+		from := s.trapOf[m.Qubit]
 		if from != base[m.Qubit] {
 			return nil, fmt.Errorf("engine: internal: qubit %d moved before the frontier (at trap %d, baseline %d)", m.Qubit, from, base[m.Qubit])
 		}

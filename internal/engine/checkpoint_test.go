@@ -220,6 +220,56 @@ func TestRunFromPastFrontierRejected(t *testing.T) {
 	}
 }
 
+// TestRunFromNoOpMoveOfMovedQubit: a delta may carry a no-op move, a
+// qubit sent to its own baseline trap. Frontier ignores such a move,
+// so the fork point may lie after that qubit first left its trap;
+// RunFrom must skip the move, not refuse the fork, and reproduce the
+// cold run of the perturbed placement.
+func TestRunFromNoOpMoveOfMovedQubit(t *testing.T) {
+	forks := 0
+	for _, tc := range fingerprintCases(t) {
+		cfg := qsprConfig(tc.f)
+		cfg.CollectTrace = true
+		p := centerPlacement(tc.f, tc.g.NumQubits)
+		sim := NewSim()
+		log := &CheckpointLog{}
+		if _, err := sim.RunRecorded(tc.g, cfg, p, log); err != nil {
+			t.Fatal(err)
+		}
+		for a := range p {
+			for q := range p {
+				if q == a {
+					continue
+				}
+				delta := append(forkDelta(t, tc.f, p, a), Move{Qubit: q, To: p[q]})
+				cp := log.Before(delta)
+				if cp == nil || cp.trapOf[q] == p[q] {
+					continue
+				}
+				got, err := sim.RunFrom(cp, delta)
+				if err != nil {
+					t.Fatalf("%s: fork at event %d with qubit %d away from its trap: %v", tc.name, cp.Index(), q, err)
+				}
+				want, err := Run(tc.g, cfg, applyDelta(p, delta))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fingerprint(t, got) != fingerprint(t, want) {
+					t.Fatalf("%s: fork at event %d differs from the cold run", tc.name, cp.Index())
+				}
+				forks++
+				break
+			}
+		}
+	}
+	// Only the [[7,1,3]] cases offer such fork points; the fig. 3
+	// cases offer none.
+	if forks == 0 {
+		t.Fatal("no delta forked after its no-op qubit had moved")
+	}
+	t.Logf("%d forks past a no-op qubit's first move", forks)
+}
+
 // TestManualCheckpoint: a Sim.Checkpoint taken right after Reset
 // (index 0) forks to any admissible delta and reproduces the cold
 // run; one taken mid-run only resumes with an empty delta... which it

@@ -356,7 +356,9 @@ func (s *Sim) bindFuncs() {
 		s.fitsFn = func(t int) bool {
 			// Unreachable traps fail before the load is consulted: the
 			// outcome is load-independent there, so recorded runs need
-			// no frontier touch for them.
+			// no frontier touch for them. NearestTrap asks only about
+			// traps nearer than its best so far; the traps it skips
+			// cannot change its answer, so their loads are not reads.
 			if !s.rg.TrapReachable(t) {
 				return false
 			}

@@ -183,16 +183,20 @@ func (f *Fabric) TrapsByDistance(p Pos) []int {
 }
 
 // NearestTrap returns the trap ID whose cell is closest (Manhattan)
-// to p among traps for which keep returns true; -1 if none.
+// to p among traps for which keep returns true; -1 if none. Ties go to
+// the lower trap ID. keep is consulted only for a trap strictly
+// nearer than the best kept so far: a trap at the best distance or
+// farther cannot change the answer, since the scan runs in ID order.
 func (f *Fabric) NearestTrap(p Pos, keep func(trapID int) bool) int {
 	best, bestDist := -1, int(^uint(0)>>1)
 	for i := range f.Traps {
-		if keep != nil && !keep(i) {
+		d := ManhattanDist(f.Traps[i].Pos, p)
+		if d >= bestDist || (keep != nil && !keep(i)) {
 			continue
 		}
-		d := ManhattanDist(f.Traps[i].Pos, p)
-		if d < bestDist || (d == bestDist && i < best) {
-			best, bestDist = i, d
+		best, bestDist = i, d
+		if d == 0 {
+			break
 		}
 	}
 	return best

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -140,6 +141,44 @@ func TestNearestTrapFilter(t *testing.T) {
 	}
 	if f.NearestTrap(f.Center(), func(int) bool { return false }) != -1 {
 		t.Error("NearestTrap with empty filter should return -1")
+	}
+}
+
+// TestNearestTrapProperty: on random query points and random keep
+// predicates, NearestTrap returns the brute-force answer (nearest kept
+// trap, lowest ID on ties, -1 if none), and it never asks keep about a
+// trap that is not strictly nearer than the best it has kept so far.
+func TestNearestTrapProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, f := range []*Fabric{Small(), Quale4585()} {
+		for iter := 0; iter < 300; iter++ {
+			p := Pos{Row: rng.Intn(f.Rows+4) - 2, Col: rng.Intn(f.Cols+4) - 2}
+			kept := make([]bool, len(f.Traps))
+			share := rng.Float64()
+			for i := range kept {
+				kept[i] = rng.Float64() < share
+			}
+			want, wantDist := -1, 0
+			for i, tr := range f.Traps {
+				if d := ManhattanDist(tr.Pos, p); kept[i] && (want < 0 || d < wantDist) {
+					want, wantDist = i, d
+				}
+			}
+			bestDist := -1
+			got := f.NearestTrap(p, func(id int) bool {
+				d := ManhattanDist(f.Traps[id].Pos, p)
+				if bestDist >= 0 && d >= bestDist {
+					t.Fatalf("keep(%d) asked at distance %d with a kept trap at %d", id, d, bestDist)
+				}
+				if kept[id] {
+					bestDist = d
+				}
+				return kept[id]
+			})
+			if got != want {
+				t.Fatalf("NearestTrap(%v) = %d, brute force %d", p, got, want)
+			}
+		}
 	}
 }
 

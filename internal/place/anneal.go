@@ -325,3 +325,60 @@ func annealChain(g *qidg.Graph, scfg engine.Config, opts AnnealOptions, restart 
 	}
 	return c, nil
 }
+
+// forkProfitNum/forkProfitDen gate suffix replay on expected profit: a
+// fork from checkpoint index i of an E-event baseline replays E-i
+// events, so it is taken only when i/E >= 1/4 — shallower frontiers
+// re-record instead, re-baselining the log on the new placement so the
+// next evaluations diff against it. 1/4 keeps borderline forks ahead
+// of a plain run even after restore overhead.
+const (
+	forkProfitNum = 4
+	forkProfitDen = 1
+	// checkpointTarget is the number of checkpoints a re-record aims
+	// for (see runIncremental's stride tuning).
+	checkpointTarget = 16
+)
+
+// runIncremental evaluates placement p on sim, byte-identically to
+// sim.Run(g, cfg, p), choosing between a suffix replay forked from
+// log's recorded baseline and a re-baselining re-record. The scratch
+// delta is caller-pooled so steady-state evaluations allocate only
+// the engine Result.
+func runIncremental(sim *engine.Sim, log *engine.CheckpointLog, g *qidg.Graph,
+	cfg engine.Config, p engine.Placement, scratch *engine.Delta) (*engine.Result, error) {
+	if log.CanFork() && len(log.Initial()) == len(p) {
+		delta := diffPlacement((*scratch)[:0], log.Initial(), p)
+		*scratch = delta
+		if cp := log.Before(delta); cp != nil && forkProfitNum*cp.Index() >= forkProfitDen*log.Events() {
+			res, err := sim.RunFrom(cp, delta)
+			if err == nil {
+				return res, nil
+			}
+			// Any fork refusal (e.g. an inadmissible delta) falls back
+			// to the full re-record below; RunFrom rejects before
+			// mutating, so the Sim is unharmed.
+		}
+	}
+	// Checkpoint stride self-tunes to the last run's event count: a
+	// stride-1 log copies the complete simulator state at every event
+	// boundary, which costs more than the replay it enables on these
+	// event-stream lengths. Sampling ~checkpointTarget boundaries keeps
+	// recording near-free and costs a fork at most one stride of extra
+	// replayed suffix. The stride is a pure function of the previous
+	// deterministic run, so results stay bit-identical.
+	if ev := log.Events(); ev > checkpointTarget {
+		log.Stride = ev / checkpointTarget
+	}
+	return sim.RunRecorded(g, cfg, p, log)
+}
+
+// diffPlacement appends the moves that turn base into p onto d.
+func diffPlacement(d engine.Delta, base, p engine.Placement) engine.Delta {
+	for q, t := range p {
+		if base[q] != t {
+			d = append(d, engine.Move{Qubit: q, To: t})
+		}
+	}
+	return d
+}

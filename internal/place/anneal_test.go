@@ -2,6 +2,7 @@ package place
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -96,41 +97,94 @@ func TestAnnealBeatsCenterOnQuale(t *testing.T) {
 	}
 }
 
-// TestMVFBIncrementalByteIdentical: MVFB with suffix-replay forking is
-// byte-identical to the pre-incremental cold-re-simulation path, for
-// sequential and fanned searches.
+// TestMVFBIncrementalByteIdentical: MVFB evaluates every forward run
+// cold, so suffix replay must be a pure speed choice on its placements.
+// Each start's forward/backward chain is walked and every forward
+// placement is evaluated cold, through runIncremental, and — whenever
+// the log has a checkpoint before the delta — through a forced fork;
+// all three must be byte-identical. The MVFB solution itself must be
+// identical for sequential and fanned searches.
 func TestMVFBIncrementalByteIdentical(t *testing.T) {
 	for _, tc := range innerParallelCases(t) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			base := MVFBOptions{Seeds: 4, Patience: 3, MaxRunsPerSeed: 12, Seed: 3}
-			cold := base
-			cold.NoIncremental = true
-			want, err := MVFB(tc.g, tc.cfg, cold)
+			want, err := MVFB(tc.g, tc.cfg, base)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantTrace := traceBytes(t, want.Result)
-			for _, workers := range []int{1, 4} {
-				opts := base
-				opts.Workers = workers
-				got, err := MVFB(tc.g, tc.cfg, opts)
+			fanned := base
+			fanned.Workers = 4
+			got, err := MVFB(tc.g, tc.cfg, fanned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Runs != want.Runs || got.Seed != want.Seed ||
+				got.Iteration != want.Iteration || got.Backward != want.Backward {
+				t.Errorf("workers=4 provenance diverges: runs %d/%d seed %d/%d iter %d/%d bwd %v/%v",
+					got.Runs, want.Runs, got.Seed, want.Seed,
+					got.Iteration, want.Iteration, got.Backward, want.Backward)
+			}
+			if !reflect.DeepEqual(got.Result, want.Result) {
+				t.Errorf("workers=4 result diverges: latency %v vs %v",
+					got.Result.Latency, want.Result.Latency)
+			}
+			if !bytes.Equal(traceBytes(t, got.Result), wantTrace) {
+				t.Errorf("workers=4 trace bytes diverge")
+			}
+
+			fwdCfg := tc.cfg
+			fwdCfg.CollectTrace = false
+			bwdCfg := fwdCfg
+			rev := tc.g.Reverse()
+			cold, inc := engine.NewSim(), engine.NewSim()
+			var log engine.CheckpointLog
+			var scratch engine.Delta
+			rng := rand.New(rand.NewSource(base.Seed))
+			forks := 0
+			for seed := 0; seed < base.Seeds; seed++ {
+				p, err := CenterPermutation(tc.cfg.Fabric, tc.g.NumQubits, rng)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Runs != want.Runs || got.Seed != want.Seed ||
-					got.Iteration != want.Iteration || got.Backward != want.Backward {
-					t.Errorf("workers=%d provenance diverges from cold path: runs %d/%d seed %d/%d iter %d/%d bwd %v/%v",
-						workers, got.Runs, want.Runs, got.Seed, want.Seed,
-						got.Iteration, want.Iteration, got.Backward, want.Backward)
+				for iter := 0; iter < base.MaxRunsPerSeed; iter++ {
+					fres, err := cold.Run(tc.g, fwdCfg, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if log.CanFork() && len(log.Initial()) == len(p) {
+						delta := diffPlacement(nil, log.Initial(), p)
+						if cp := log.Before(delta); cp != nil {
+							fork, err := inc.RunFrom(cp, delta)
+							if err != nil {
+								t.Fatalf("seed %d iter %d: fork refused: %v", seed, iter, err)
+							}
+							forks++
+							if !reflect.DeepEqual(fork, fres) {
+								t.Fatalf("seed %d iter %d: forked run diverges from cold: latency %v vs %v",
+									seed, iter, fork.Latency, fres.Latency)
+							}
+						}
+					}
+					ires, err := runIncremental(inc, &log, tc.g, fwdCfg, p, &scratch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(ires, fres) {
+						t.Fatalf("seed %d iter %d: incremental run diverges from cold: latency %v vs %v",
+							seed, iter, ires.Latency, fres.Latency)
+					}
+					bwdCfg.ForcedOrder = reverseOrder(fres.IssueOrder)
+					bres, err := cold.Run(rev, bwdCfg, fres.Final)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p = bres.Final
 				}
-				if !reflect.DeepEqual(got.Result, want.Result) {
-					t.Errorf("workers=%d result diverges from cold path: latency %v vs %v",
-						workers, got.Result.Latency, want.Result.Latency)
-				}
-				if !bytes.Equal(traceBytes(t, got.Result), wantTrace) {
-					t.Errorf("workers=%d trace bytes diverge from cold path", workers)
-				}
+			}
+			if forks == 0 {
+				t.Errorf("no forward placement was forked; the suffix-replay path went untested")
 			}
 		})
 	}

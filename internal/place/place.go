@@ -301,20 +301,6 @@ type MVFBOptions struct {
 	// to a fresh Sim. With Workers > 1 the search workers own private
 	// Sims as always and this one serves only the winner replay.
 	Sim *engine.Sim
-	// BwdSim optionally supplies a second caller-owned warm simulator
-	// for the backward (uncompute) runs of the sequential incremental
-	// search. The incremental path needs two simulators because a
-	// checkpointed forward baseline lives in its recording Sim and any
-	// Reset — which a backward run on the same Sim would perform —
-	// invalidates it. Ignored when NoIncremental is set; nil means the
-	// search creates one per call.
-	BwdSim *engine.Sim
-	// NoIncremental disables checkpoint/fork suffix replay: every
-	// forward run is a cold re-simulation on a single Sim, the
-	// pre-incremental behaviour. Results are bit-identical either way
-	// (the fork property guarantees it); the knob exists for
-	// benchmarking the speedup and for bisection.
-	NoIncremental bool
 }
 
 // DefaultMVFBOptions mirrors the paper's setup with m seeds.
@@ -396,20 +382,6 @@ func mvfbSearch(g *qidg.Graph, cfg engine.Config, opts MVFBOptions) (searchOutco
 			sim = engine.NewSim()
 		}
 		seqSim = sim
-		var bwdSim *engine.Sim
-		var log *engine.CheckpointLog
-		if !opts.NoIncremental {
-			// Incremental mode: sim records forward baselines and forks
-			// suffix replays from them; backward runs go to a second
-			// simulator so their Resets cannot invalidate the forward
-			// checkpoints. One log serves every start (re-armed per
-			// re-baseline), keeping its buffers warm.
-			bwdSim = opts.BwdSim
-			if bwdSim == nil {
-				bwdSim = engine.NewSim()
-			}
-			log = &engine.CheckpointLog{}
-		}
 		// Under ScopeGlobal the prior starts' best is threaded into
 		// each search as its improvement bound, so the sequential path
 		// runs exactly the paper protocol with no speculative runs.
@@ -419,7 +391,7 @@ func mvfbSearch(g *qidg.Graph, cfg engine.Config, opts MVFBOptions) (searchOutco
 			hint = rb.get
 		}
 		for seed := range starts {
-			t, err := searchTrajectory(g, rev, cfg, starts[seed], opts, hint, sim, bwdSim, log)
+			t, err := searchTrajectory(g, rev, cfg, starts[seed], opts, hint, sim)
 			if err != nil {
 				return out, err
 			}
@@ -454,19 +426,13 @@ func mvfbSearch(g *qidg.Graph, cfg engine.Config, opts MVFBOptions) (searchOutco
 				wcfg := cfg
 				wcfg.RouteGraph = nil
 				sim := engine.NewSim()
-				var bwdSim *engine.Sim
-				var log *engine.CheckpointLog
-				if !opts.NoIncremental {
-					bwdSim = engine.NewSim()
-					log = &engine.CheckpointLog{}
-				}
 				for seed := range work {
 					// Once any start failed the call returns an error;
 					// drain the channel without searching the rest.
 					if failed.Load() {
 						continue
 					}
-					t, err := searchTrajectory(g, rev, wcfg, starts[seed], opts, hint, sim, bwdSim, log)
+					t, err := searchTrajectory(g, rev, wcfg, starts[seed], opts, hint, sim)
 					if err != nil {
 						errs[seed] = err
 						failed.Store(true)
@@ -625,15 +591,11 @@ type runRecord struct {
 // one, so the trajectory stops at-or-after the replayed stopping
 // point and retains a result for every run the replay could crown.
 //
-// With a recording log and a separate backward simulator (incremental
-// mode) each forward run is evaluated by runIncremental — a suffix
-// replay forked from the last recorded forward baseline when the
-// moved qubits' dependency frontier makes that profitable, a
-// re-baselining re-record otherwise. Either way the forward results
-// are byte-identical to cold runs, so the trajectory — and therefore
-// the MVFB winner — is unchanged.
+// Every run is a cold simulation on sim. Suffix replay does not pay
+// here: consecutive forward placements differ in almost every qubit,
+// so the dependency frontier sits near the start of the run.
 func searchTrajectory(g, rev *qidg.Graph, cfg engine.Config, p engine.Placement,
-	opts MVFBOptions, hint boundFunc, sim, bwdSim *engine.Sim, log *engine.CheckpointLog) ([]runRecord, error) {
+	opts MVFBOptions, hint boundFunc, sim *engine.Sim) ([]runRecord, error) {
 
 	var localBest gates.Time
 	haveLocal := false
@@ -668,17 +630,9 @@ func searchTrajectory(g, rev *qidg.Graph, cfg engine.Config, p engine.Placement,
 	fwdCfg.CollectTrace = false
 	bwdCfg := cfg
 	bwdCfg.CollectTrace = false
-	incremental := log != nil && bwdSim != nil
-	var scratch engine.Delta
 	for iter := 0; iter < opts.MaxRunsPerSeed; iter++ {
 		// Forward computation on the QIDG.
-		var fres *engine.Result
-		var err error
-		if incremental {
-			fres, err = runIncremental(sim, log, g, fwdCfg, p, &scratch)
-		} else {
-			fres, err = sim.Run(g, fwdCfg, p)
-		}
+		fres, err := sim.Run(g, fwdCfg, p)
 		if err != nil {
 			return nil, err
 		}
@@ -690,15 +644,9 @@ func searchTrajectory(g, rev *qidg.Graph, cfg engine.Config, p engine.Placement,
 			break
 		}
 		// Backward computation on the UIDG in reverse issue order,
-		// starting from the forward run's final placement. In
-		// incremental mode it runs on the second simulator so its Reset
-		// cannot invalidate the recorded forward baseline.
+		// starting from the forward run's final placement.
 		bwdCfg.ForcedOrder = reverseOrder(fres.IssueOrder)
-		bs := sim
-		if incremental {
-			bs = bwdSim
-		}
-		bres, err := bs.Run(rev, bwdCfg, fres.Final)
+		bres, err := sim.Run(rev, bwdCfg, fres.Final)
 		if err != nil {
 			return nil, err
 		}
@@ -784,63 +732,6 @@ func reduceSeedScope(trajs [][]runRecord) (*Solution, []int, error) {
 		return nil, nil, fmt.Errorf("place: MVFB produced no solution")
 	}
 	return best, forced, nil
-}
-
-// forkProfitNum/forkProfitDen gate suffix replay on expected profit: a
-// fork from checkpoint index i of an E-event baseline replays E-i
-// events, so it is taken only when i/E >= 1/4 — shallower frontiers
-// re-record instead, re-baselining the log on the new placement so the
-// next evaluations diff against it. 1/4 keeps borderline forks ahead
-// of a plain run even after restore overhead.
-const (
-	forkProfitNum = 4
-	forkProfitDen = 1
-	// checkpointTarget is the number of checkpoints a re-record aims
-	// for (see runIncremental's stride tuning).
-	checkpointTarget = 16
-)
-
-// runIncremental evaluates placement p on sim, byte-identically to
-// sim.Run(g, cfg, p), choosing between a suffix replay forked from
-// log's recorded baseline and a re-baselining re-record. The scratch
-// delta is caller-pooled so steady-state evaluations allocate only
-// the engine Result.
-func runIncremental(sim *engine.Sim, log *engine.CheckpointLog, g *qidg.Graph,
-	cfg engine.Config, p engine.Placement, scratch *engine.Delta) (*engine.Result, error) {
-	if log.CanFork() && len(log.Initial()) == len(p) {
-		delta := diffPlacement((*scratch)[:0], log.Initial(), p)
-		*scratch = delta
-		if cp := log.Before(delta); cp != nil && forkProfitNum*cp.Index() >= forkProfitDen*log.Events() {
-			res, err := sim.RunFrom(cp, delta)
-			if err == nil {
-				return res, nil
-			}
-			// Any fork refusal (e.g. an inadmissible delta) falls back
-			// to the full re-record below; RunFrom rejects before
-			// mutating, so the Sim is unharmed.
-		}
-	}
-	// Checkpoint stride self-tunes to the last run's event count: a
-	// stride-1 log copies the complete simulator state at every event
-	// boundary, which costs more than the replay it enables on these
-	// event-stream lengths. Sampling ~checkpointTarget boundaries keeps
-	// recording near-free and costs a fork at most one stride of extra
-	// replayed suffix. The stride is a pure function of the previous
-	// deterministic run, so results stay bit-identical.
-	if ev := log.Events(); ev > checkpointTarget {
-		log.Stride = ev / checkpointTarget
-	}
-	return sim.RunRecorded(g, cfg, p, log)
-}
-
-// diffPlacement appends the moves that turn base into p onto d.
-func diffPlacement(d engine.Delta, base, p engine.Placement) engine.Delta {
-	for q, t := range p {
-		if base[q] != t {
-			d = append(d, engine.Move{Qubit: q, To: t})
-		}
-	}
-	return d
 }
 
 func reverseOrder(order []int) []int {

@@ -234,7 +234,7 @@ func (g *Graph) baseSSSP(src int32, out []gates.Time) {
 }
 
 // altSearcher is the reusable A*/Dijkstra state of the canonical
-// lexicographic (cost, hops) label domain. Like Searcher it resets in
+// lexicographic (cost, hops) label domain. Like searcher it resets in
 // O(1) by generation stamping, so queries touch memory proportional
 // to the explored region, not the fabric.
 type altSearcher struct {
@@ -348,7 +348,7 @@ func (a *altState) heuristicTo(dst int32) func(n int32) gates.Time {
 
 // runCanonical executes the lexicographic (cost, hops) search from
 // src to dst under the current Eq. 2 weights, with the optional
-// consistent heuristic h (nil = Dijkstra). Unlike Searcher.run it
+// consistent heuristic h (nil = Dijkstra). Unlike searcher.run it
 // does NOT stop the moment dst settles: it keeps popping until the
 // heap minimum exceeds dst's final label, which settles every node
 // whose optimal f-label is <= it. That closure is exactly what makes
@@ -485,6 +485,7 @@ func (g *Graph) findRouteALT(fromTrap, toTrap int) (Route, bool) {
 	key := routeKey(fromTrap, toTrap)
 	if uncongested {
 		if e, ok := g.cache[key]; ok {
+			g.work.CacheHits++
 			if !e.found {
 				return Route{}, false
 			}
@@ -494,6 +495,7 @@ func (g *Graph) findRouteALT(fromTrap, toTrap int) (Route, bool) {
 	}
 	src := int32(g.trapNode[fromTrap])
 	dst := int32(g.trapNode[toTrap])
+	g.work.Searches++
 	found := g.runCanonical(&a.search, src, dst, a.heuristicTo(dst))
 	if !found {
 		if uncongested {

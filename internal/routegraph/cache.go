@@ -67,14 +67,14 @@ func routeKey(fromTrap, toTrap int) uint64 {
 }
 
 // storeCacheEntry captures the just-finished recorded search.
-func (g *Graph) storeCacheEntry(key uint64, s *Searcher[gates.Time]) {
+func (g *Graph) storeCacheEntry(key uint64, s *searcher, found bool) {
 	e := &routeEntry{
-		found:   s.lastFound,
+		found:   found,
 		numTies: s.numTies,
 		src:     s.lastSrc,
 		dst:     s.lastDst,
 	}
-	if s.lastFound {
+	if found {
 		e.cost = s.dist[s.lastDst]
 		e.writes = append([]viaWrite(nil), s.writes...)
 	}
@@ -85,16 +85,18 @@ func (g *Graph) storeCacheEntry(key uint64, s *Searcher[gates.Time]) {
 // uncached search would have consumed, then rebuild the via array
 // from the recorded trajectory under those draws.
 func (g *Graph) replayCacheEntry(e *routeEntry, fromTrap, toTrap int) (Route, bool) {
+	g.work.CacheHits++
 	draws := g.drawBuf[:0]
 	for i := int32(0); i < e.numTies; i++ {
-		g.coins++
 		draws = append(draws, int8(g.rng.Intn(2)))
 	}
 	g.drawBuf = draws
+	g.coins += uint64(e.numTies)
+	g.work.Coins += uint64(e.numTies)
 	if !e.found {
 		return Route{}, false
 	}
-	s := g.acquireSearcher()
+	s := g.searcher()
 	s.begin()
 	via := s.via
 	for _, w := range e.writes {
@@ -103,8 +105,7 @@ func (g *Graph) replayCacheEntry(e *routeEntry, fromTrap, toTrap int) (Route, bo
 		}
 		via[w.node] = w.edge
 	}
-	s.lastSrc, s.lastDst, s.lastFound = e.src, e.dst, true
+	s.lastSrc, s.lastDst = e.src, e.dst
 	g.hopsBuf = s.appendHops(g.hopsBuf[:0])
-	g.releaseSearcher(s)
 	return g.buildRoute(fromTrap, toTrap, e.cost), true
 }

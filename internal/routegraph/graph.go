@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/fabric"
 	"repro/internal/gates"
@@ -138,11 +137,10 @@ type Options struct {
 // Graph is the routing graph over one fabric.
 //
 // Construction builds a CSR (compressed sparse row) adjacency once;
-// queries run on a pooled, generation-stamped search state and touch
-// no per-query heap memory. The graph is NOT safe for concurrent
-// mutation (FindRoute, Occupy, Release, Commit, Reset); concurrent
-// read-only shortest-path queries are supported through per-goroutine
-// Searchers (see NewSearcher / AcquireSearcher).
+// queries run on a reusable, generation-stamped search state and
+// touch no per-query heap memory. The graph is NOT safe for
+// concurrent use: FindRoute, Occupy, Release, Commit and Reset all
+// mutate it.
 type Graph struct {
 	Fabric *fabric.Fabric
 	Tech   gates.Tech
@@ -185,13 +183,9 @@ type Graph struct {
 	// graph routes in ALT mode (see alt.go); nil for classic Dijkstra.
 	alt *altState
 
-	// Pools of reusable search states: the Eq. 2 (gates.Time)
-	// instantiation used by FindRoute, and the float64 instantiation
-	// used by external cost models (PathFinder).
-	searchMu   sync.Mutex
-	searchFree []*Searcher[gates.Time]
-	floatMu    sync.Mutex
-	floatFree  []*Searcher[float64]
+	// search is the classic-mode Dijkstra state, created by the first
+	// search (see searcher).
+	search *searcher
 
 	cache   map[uint64]*routeEntry
 	hopsBuf []Hop  // backs Route.Hops; valid until the next query
@@ -205,8 +199,7 @@ type Graph struct {
 	// so the count is query-history-deterministic.
 	coins uint64
 
-	weightFn func(edge int32) gates.Time
-	tieFn    func(next, edge int32) bool
+	work Work
 }
 
 // New builds the routing graph for a fabric under the given
@@ -247,8 +240,6 @@ func New(f *fabric.Fabric, tech gates.Tech, opts Options) *Graph {
 	g.buildEdges()
 	g.buildCSR()
 	g.cache = make(map[uint64]*routeEntry)
-	g.weightFn = func(edge int32) gates.Time { return g.EdgeWeight(int(edge)) }
-	g.tieFn = func(next, edge int32) bool { g.coins++; return g.rng.Intn(2) == 0 }
 	if altEnabled(opts.Landmarks, len(g.Nodes)) {
 		g.buildALT(opts.Landmarks)
 	}
@@ -337,7 +328,7 @@ func (g *Graph) SaveState(st *State) {
 	st.coins = g.coins
 }
 
-// / RestoreState rewinds the graph to a previously saved mid-run state:
+// RestoreState rewinds the graph to a previously saved mid-run state:
 // occupancies are cleared and re-applied sparsely, and the tie rng is
 // re-seeded and advanced by the saved coin count, so every later
 // FindRoute draws exactly the coins the original run would have drawn
@@ -356,59 +347,6 @@ func (g *Graph) RestoreState(st *State) {
 		g.rng.Intn(2)
 	}
 	g.coins = st.coins
-}
-
-// acquireSearcher takes a pooled search state (or grows the pool).
-func (g *Graph) acquireSearcher() *Searcher[gates.Time] {
-	g.searchMu.Lock()
-	if n := len(g.searchFree); n > 0 {
-		s := g.searchFree[n-1]
-		g.searchFree = g.searchFree[:n-1]
-		g.searchMu.Unlock()
-		return s
-	}
-	g.searchMu.Unlock()
-	return NewSearcher[gates.Time](g)
-}
-
-func (g *Graph) releaseSearcher(s *Searcher[gates.Time]) {
-	g.searchMu.Lock()
-	g.searchFree = append(g.searchFree, s)
-	g.searchMu.Unlock()
-}
-
-// AcquireSearcher hands out a reusable gates.Time search state from
-// the graph-owned pool, for workers that run read-only shortest-path
-// queries concurrently (ShortestPath with a caller-supplied weight
-// function). Return it with ReleaseSearcher when done. FindRoute
-// itself mutates shared graph state (tie rng, cache, hop buffer) and
-// must not be called concurrently.
-func (g *Graph) AcquireSearcher() *Searcher[gates.Time] { return g.acquireSearcher() }
-
-// ReleaseSearcher returns a Searcher to the graph's pool.
-func (g *Graph) ReleaseSearcher(s *Searcher[gates.Time]) { g.releaseSearcher(s) }
-
-// AcquireFloatSearcher is AcquireSearcher for the float64 cost
-// domain (external cost models such as PathFinder's negotiated
-// congestion). Return it with ReleaseFloatSearcher so repeated
-// batch-routing calls on one graph reuse the grown buffers.
-func (g *Graph) AcquireFloatSearcher() *Searcher[float64] {
-	g.floatMu.Lock()
-	if n := len(g.floatFree); n > 0 {
-		s := g.floatFree[n-1]
-		g.floatFree = g.floatFree[:n-1]
-		g.floatMu.Unlock()
-		return s
-	}
-	g.floatMu.Unlock()
-	return NewSearcher[float64](g)
-}
-
-// ReleaseFloatSearcher returns a float64 Searcher to the graph's pool.
-func (g *Graph) ReleaseFloatSearcher(s *Searcher[float64]) {
-	g.floatMu.Lock()
-	g.floatFree = append(g.floatFree, s)
-	g.floatMu.Unlock()
 }
 
 // TrapReachable reports whether any route can reach the trap, i.e.
@@ -610,6 +548,25 @@ func (g *Graph) buildRoute(fromTrap, toTrap int, cost gates.Time) Route {
 	return r
 }
 
+// Work counts the routing work a graph has done since New. Reset and
+// RestoreState leave it alone. Every field is a pure function of the
+// query history, so tests can pin exact values.
+type Work struct {
+	// Searches counts full searches (Dijkstra, or A* in ALT mode);
+	// CacheHits counts queries answered by the route cache.
+	Searches, CacheHits uint64
+	// Failures counts queries between distinct traps that found no
+	// route, however they were answered.
+	Failures uint64
+	// Settled counts the nodes settled by classic (non-ALT) searches.
+	Settled uint64
+	// Coins counts tie coins drawn, cache replays included.
+	Coins uint64
+}
+
+// Work returns the graph's work counters.
+func (g *Graph) Work() Work { return g.work }
+
 // FindRoute runs Dijkstra from one trap to another using the Eq. 2
 // weights. Trap vertices other than the endpoints are excluded (traps
 // are gate sites, not thoroughfares). ok is false when every path is
@@ -623,9 +580,35 @@ func (g *Graph) FindRoute(fromTrap, toTrap int) (Route, bool) {
 	if fromTrap == toTrap {
 		return Route{From: fromTrap, To: toTrap}, true
 	}
-	if g.alt != nil {
-		return g.findRouteALT(fromTrap, toTrap)
+	var r Route
+	ok := false
+	switch {
+	case g.sourceSaturated(fromTrap):
+		// Every edge at a trap node belongs to the trap's channel
+		// group (the two access edges and the trap-to-trap edges), so
+		// a search from a saturated source would settle the source
+		// alone and draw no coins: the answer is known without it.
+	case g.alt != nil:
+		r, ok = g.findRouteALT(fromTrap, toTrap)
+	default:
+		r, ok = g.findRouteDijkstra(fromTrap, toTrap)
 	}
+	if !ok {
+		g.work.Failures++
+	}
+	return r, ok
+}
+
+// sourceSaturated reports whether a trap's channel group is full, so
+// that no route can leave the trap.
+func (g *Graph) sourceSaturated(trapID int) bool {
+	gr := &g.Groups[g.chanGroup[g.Fabric.Traps[trapID].Channel]]
+	return gr.occ >= gr.Capacity
+}
+
+// findRouteDijkstra is FindRoute's classic body: the route cache
+// while the graph is idle, the coin-flip Dijkstra otherwise.
+func (g *Graph) findRouteDijkstra(fromTrap, toTrap int) (Route, bool) {
 	uncongested := g.totalOcc == 0
 	key := routeKey(fromTrap, toTrap)
 	if uncongested {
@@ -633,20 +616,16 @@ func (g *Graph) FindRoute(fromTrap, toTrap int) (Route, bool) {
 			return g.replayCacheEntry(e, fromTrap, toTrap)
 		}
 	}
-	s := g.acquireSearcher()
-	found := s.run(int32(g.trapNode[fromTrap]), int32(g.trapNode[toTrap]),
-		timeInf, g.weightFn, g.tieFn, uncongested)
+	s := g.searcher()
+	found := s.run(int32(g.trapNode[fromTrap]), int32(g.trapNode[toTrap]), uncongested)
 	if uncongested {
-		g.storeCacheEntry(key, s)
+		g.storeCacheEntry(key, s, found)
 	}
 	if !found {
-		g.releaseSearcher(s)
 		return Route{}, false
 	}
-	cost := s.dist[s.lastDst]
 	g.hopsBuf = s.appendHops(g.hopsBuf[:0])
-	g.releaseSearcher(s)
-	return g.buildRoute(fromTrap, toTrap, cost), true
+	return g.buildRoute(fromTrap, toTrap, s.dist[s.lastDst]), true
 }
 
 // Commit charges every hop's group (call after accepting a route).

@@ -2,6 +2,7 @@ package routegraph
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/fabric"
@@ -351,4 +352,77 @@ func TestQuale4585GraphBuilds(t *testing.T) {
 		t.Errorf("route moves %d below Manhattan distance %d",
 			r.Moves, fabric.ManhattanDist(f.Traps[a].Pos, f.Traps[b].Pos))
 	}
+}
+
+// TestSaturatedSourceShortCircuit: FindRoute answers a query whose
+// source trap sits on a saturated channel without searching. On random
+// occupancy states a graph that short-circuits must agree with one
+// that always runs the full search, on every answer, on the coins
+// drawn, and therefore on every route that follows.
+func TestSaturatedSourceShortCircuit(t *testing.T) {
+	f := fabric.Quale4585()
+	rng := rand.New(rand.NewSource(29))
+	n := len(f.Traps)
+	shortCircuits, found := 0, 0
+	for round := 0; round < 12; round++ {
+		opts := Options{TurnAware: round%2 == 0, TieSeed: int64(round)}
+		if round%3 == 0 {
+			// Defective channels saturate their traps even on an idle
+			// graph, where the route cache is live.
+			opts.DefectiveChannels = []int{rng.Intn(len(f.Channels)), rng.Intn(len(f.Channels))}
+		}
+		short := New(f, gates.Default(), opts)
+		full := New(f, gates.Default(), opts)
+		occupy := func(gid int) {
+			if gr := &short.Groups[gid]; gr.occ < gr.Capacity {
+				short.Occupy(gid)
+				full.Occupy(gid)
+			}
+		}
+		for q := 0; q < 300; q++ {
+			if q%100 == 50 {
+				// Load random groups and fill the channels of a few
+				// random traps.
+				for k := 0; k < 30; k++ {
+					occupy(rng.Intn(len(short.Groups)))
+				}
+				for k := 0; k < 8; k++ {
+					gid := short.ChannelGroupID(f.Traps[rng.Intn(n)].Channel)
+					for c := 0; c < short.Groups[gid].Capacity; c++ {
+						occupy(gid)
+					}
+				}
+			}
+			a, b := rng.Intn(n), rng.Intn(n)
+			if a == b {
+				continue
+			}
+			if short.sourceSaturated(a) {
+				shortCircuits++
+			}
+			r1, ok1 := short.FindRoute(a, b)
+			r2, ok2 := full.findRouteDijkstra(a, b)
+			if ok1 != ok2 || short.coins != full.coins {
+				t.Fatalf("round %d query %d->%d: found %v/%v, coins %d/%d",
+					round, a, b, ok1, ok2, short.coins, full.coins)
+			}
+			if !ok1 {
+				continue
+			}
+			found++
+			if r1.Cost != r2.Cost || len(r1.Hops) != len(r2.Hops) {
+				t.Fatalf("round %d query %d->%d: cost %d/%d, %d/%d hops",
+					round, a, b, r1.Cost, r2.Cost, len(r1.Hops), len(r2.Hops))
+			}
+			for i := range r1.Hops {
+				if r1.Hops[i] != r2.Hops[i] {
+					t.Fatalf("round %d query %d->%d hop %d: %+v vs %+v", round, a, b, i, r1.Hops[i], r2.Hops[i])
+				}
+			}
+		}
+	}
+	if shortCircuits == 0 || found == 0 {
+		t.Fatalf("weak test: %d short-circuits, %d routes found", shortCircuits, found)
+	}
+	t.Logf("%d short-circuited queries, %d routes found", shortCircuits, found)
 }

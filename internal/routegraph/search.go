@@ -1,15 +1,19 @@
 package routegraph
 
-// This file is the shared zero-allocation shortest-path core used by
-// both FindRoute (Eq. 2 congestion weights, gates.Time) and the
-// PathFinder negotiated router (float64 costs). Design:
+import "repro/internal/gates"
+
+// This file is the zero-allocation Dijkstra core behind FindRoute:
+// one monomorphic loop over the Eq. 2 congestion weights. Design:
 //
 //   - The graph adjacency is flattened into CSR arrays at build time
 //     (edgeStart/edgeList, plus edgeOther carrying the far endpoint
 //     of each adjacency slot so the inner loop never branches on
 //     "which end am I").
+//   - Eq. 2 is read inline from Edges/Groups and the tie coin is
+//     drawn inline from the graph's rng: the hot loop calls no
+//     weight or tie callbacks.
 //   - All per-query state (dist/via/settled) lives in a reusable
-//     Searcher and is invalidated in O(1) by bumping a generation
+//     searcher and is invalidated in O(1) by bumping a generation
 //     counter instead of clearing O(|nodes|) memory.
 //   - The priority queue is a monomorphic slice heap: no container/
 //     heap, no `any` boxing, zero allocations at steady state.
@@ -26,15 +30,9 @@ package routegraph
 // golden_test.go). Bit-identical results win over a few percent of
 // heap arithmetic.
 
-// Weight is the cost domain of a search: the engine router uses
-// gates.Time (int64 µs), PathFinder uses float64 negotiated costs.
-type Weight interface {
-	~int64 | ~float64
-}
-
-type searchNode[W Weight] struct {
+type searchNode struct {
 	node int32
-	dist W
+	dist gates.Time
 }
 
 // viaWrite records one write to the predecessor array during a
@@ -48,47 +46,47 @@ type viaWrite struct {
 	tie  int32
 }
 
-// Searcher is a reusable Dijkstra state over one Graph. It may be
-// used concurrently with other Searchers on the same graph as long
-// as the graph itself is not mutated (Occupy/Release/FindRoute);
-// concurrent MVFB or Monte-Carlo workers obtain one per goroutine
-// via NewSearcher or the graph-owned pool (AcquireSearcher).
-type Searcher[W Weight] struct {
+// searcher is the reusable Dijkstra state of one Graph. FindRoute is
+// single-threaded by contract, so each graph owns exactly one,
+// created on its first search.
+type searcher struct {
 	g *Graph
 
-	dist         []W
+	dist         []gates.Time
 	via          []int32
 	distStamp    []uint32
 	settledStamp []uint32
 	gen          uint32
-	heap         []searchNode[W]
+	heap         []searchNode
 	revBuf       []int32
 
-	// recording state for the route cache (FindRoute only).
-	record  bool
+	// writes logs every predecessor write of a recorded search for
+	// the route cache; numTies counts the search's tie coins.
 	writes  []viaWrite
 	numTies int32
 
 	lastSrc, lastDst int32
-	lastFound        bool
 }
 
-// NewSearcher returns a reusable search state for g. The zero
-// allocation guarantee holds from the second query on (buffers grow
-// to their steady-state size during the first).
-func NewSearcher[W Weight](g *Graph) *Searcher[W] {
-	n := len(g.Nodes)
-	return &Searcher[W]{
-		g:            g,
-		dist:         make([]W, n),
-		via:          make([]int32, n),
-		distStamp:    make([]uint32, n),
-		settledStamp: make([]uint32, n),
+// searcher returns the graph's search state, allocating it on first
+// use. The zero-allocation guarantee holds from the second query on
+// (buffers grow to their steady-state size during the first).
+func (g *Graph) searcher() *searcher {
+	if g.search == nil {
+		n := len(g.Nodes)
+		g.search = &searcher{
+			g:            g,
+			dist:         make([]gates.Time, n),
+			via:          make([]int32, n),
+			distStamp:    make([]uint32, n),
+			settledStamp: make([]uint32, n),
+		}
 	}
+	return g.search
 }
 
 // begin opens a fresh query: O(1) state reset via generation bump.
-func (s *Searcher[W]) begin() {
+func (s *searcher) begin() {
 	s.gen++
 	if s.gen == 0 { // uint32 wrap: clear stamps once every 4G queries
 		clear(s.distStamp)
@@ -98,13 +96,12 @@ func (s *Searcher[W]) begin() {
 	s.heap = s.heap[:0]
 	s.writes = s.writes[:0]
 	s.numTies = 0
-	s.lastFound = false
 }
 
-// push appends and sifts up, replicating container/heap.Push exactly
-// (strict < comparison, identical swap order).
-func (s *Searcher[W]) push(x searchNode[W]) {
-	h := append(s.heap, x)
+// pushNode appends and sifts up, replicating container/heap.Push
+// exactly (strict < comparison, identical swap order).
+func pushNode(h []searchNode, x searchNode) []searchNode {
+	h = append(h, x)
 	j := len(h) - 1
 	for j > 0 {
 		i := (j - 1) / 2
@@ -114,13 +111,12 @@ func (s *Searcher[W]) push(x searchNode[W]) {
 		h[i], h[j] = h[j], h[i]
 		j = i
 	}
-	s.heap = h
+	return h
 }
 
-// pop replicates container/heap.Pop exactly: swap root with last,
+// popNode replicates container/heap.Pop exactly: swap root with last,
 // sift down over the shortened heap, return the displaced root.
-func (s *Searcher[W]) pop() searchNode[W] {
-	h := s.heap
+func popNode(h []searchNode) (searchNode, []searchNode) {
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
 	i := 0
@@ -139,111 +135,92 @@ func (s *Searcher[W]) pop() searchNode[W] {
 		h[i], h[j] = h[j], h[i]
 		i = j
 	}
-	v := h[n]
-	s.heap = h[:n]
-	return v
+	return h[n], h[:n]
 }
 
-// run executes Dijkstra from graph node src to dst under the given
-// weight function. An edge whose weight equals inf is impassable.
-// onEqual, when non-nil, is consulted once per equal-cost relaxation
-// of an unsettled node and may redirect the predecessor (FindRoute's
-// seeded tie-break); record additionally logs every predecessor
-// write for cache replay. Trap nodes other than src/dst are excluded
-// (gate sites are not thoroughfares).
-func (s *Searcher[W]) run(src, dst int32, inf W, weight func(edge int32) W, onEqual func(next, edge int32) bool, record bool) bool {
+// run executes Dijkstra from graph node src to dst under the Eq. 2
+// weights: (occ+1)*SelectBase, with an edge of a saturated group
+// impassable. An equal-cost relaxation of an unsettled node draws one
+// seeded coin, which may redirect the node's predecessor; record
+// additionally logs every predecessor write for cache replay. Trap
+// nodes other than src/dst are excluded (gate sites are not
+// thoroughfares).
+func (s *searcher) run(src, dst int32, record bool) bool {
 	s.begin()
-	s.record = record
 	s.lastSrc, s.lastDst = src, dst
 	g := s.g
 	dist, stamp, settled, via := s.dist, s.distStamp, s.settledStamp, s.via
 	gen := s.gen
 	kinds := g.nodeKind
 	start, list, other := g.edgeStart, g.edgeList, g.edgeOther
+	edges, groups := g.Edges, g.Groups
+	rng := g.rng
+	var numTies int32
+	var numSettled uint64
 
 	dist[src] = 0
 	stamp[src] = gen
 	via[src] = -1
-	s.push(searchNode[W]{node: src, dist: 0})
-	for len(s.heap) > 0 {
-		cur := s.pop()
+	h := pushNode(s.heap, searchNode{node: src})
+	for len(h) > 0 {
+		var cur searchNode
+		cur, h = popNode(h)
 		cn := cur.node
 		if cur.dist > dist[cn] || settled[cn] == gen {
 			continue
 		}
 		settled[cn] = gen
+		numSettled++
 		if cn == dst {
 			break
 		}
 		for k := start[cn]; k < start[cn+1]; k++ {
-			eid := list[k]
 			next := other[k]
 			if kinds[next] == TrapNode && next != dst && next != src {
 				continue
 			}
-			w := weight(eid)
-			if w == inf {
+			eid := list[k]
+			e := &edges[eid]
+			gr := &groups[e.Group]
+			if gr.occ >= gr.Capacity {
 				continue
 			}
-			nd := cur.dist + w
-			d := inf
-			if stamp[next] == gen {
-				d = dist[next]
-			}
-			if nd < d {
+			nd := cur.dist + gates.Time(gr.occ+1)*e.SelectBase
+			if stamp[next] != gen || nd < dist[next] {
 				dist[next] = nd
 				stamp[next] = gen
 				via[next] = eid
 				if record {
 					s.writes = append(s.writes, viaWrite{node: next, edge: eid, tie: -1})
 				}
-				s.push(searchNode[W]{node: next, dist: nd})
-			} else if nd == d && settled[next] != gen && onEqual != nil {
+				h = pushNode(h, searchNode{node: next, dist: nd})
+			} else if nd == dist[next] && settled[next] != gen {
 				// Equal-cost alternatives are indistinguishable to the
-				// router (Fig. 5); the callback picks one arbitrarily
-				// but reproducibly. Swapping the predecessor of an
+				// router (Fig. 5); the coin picks one arbitrarily but
+				// reproducibly. Swapping the predecessor of an
 				// unsettled node cannot invalidate settled paths.
 				if record {
-					s.writes = append(s.writes, viaWrite{node: next, edge: eid, tie: s.numTies})
+					s.writes = append(s.writes, viaWrite{node: next, edge: eid, tie: numTies})
 				}
-				s.numTies++
-				if onEqual(next, eid) {
+				numTies++
+				if rng.Intn(2) == 0 {
 					via[next] = eid
 				}
 			}
 		}
 	}
-	s.lastFound = s.distStamp[dst] == gen
-	return s.lastFound
+	s.heap = h
+	s.numTies = numTies
+	g.coins += uint64(numTies)
+	g.work.Coins += uint64(numTies)
+	g.work.Settled += numSettled
+	g.work.Searches++
+	return stamp[dst] == gen
 }
 
-// ShortestPath runs Dijkstra between two traps under the caller's
-// weight function (an edge weighing exactly inf is impassable) and
-// returns the destination cost. Use AppendHops to materialize the
-// path. This is the entry point for external cost models such as
-// PathFinder's negotiated congestion; FindRoute layers the Eq. 2
-// weights, the seeded tie-break and the route cache on the same core.
-func (s *Searcher[W]) ShortestPath(fromTrap, toTrap int, inf W, weight func(edge int32) W) (W, bool) {
-	src := int32(s.g.trapNode[fromTrap])
-	dst := int32(s.g.trapNode[toTrap])
-	if !s.run(src, dst, inf, weight, nil, false) {
-		var zero W
-		return zero, false
-	}
-	return s.dist[dst], true
-}
-
-// AppendHops appends the hops of the most recent found path, in
-// travel order, and returns the extended slice. It must only be
-// called after a successful ShortestPath on this Searcher.
-func (s *Searcher[W]) AppendHops(hops []Hop) []Hop {
-	if !s.lastFound {
-		panic("routegraph: AppendHops without a found path")
-	}
-	return s.appendHops(hops)
-}
-
-func (s *Searcher[W]) appendHops(hops []Hop) []Hop {
+// appendHops appends the hops of the path the last found search (or
+// cache replay) left in via, in travel order.
+func (s *searcher) appendHops(hops []Hop) []Hop {
 	g := s.g
 	rev := s.revBuf[:0]
 	for n := s.lastDst; n != s.lastSrc; {

@@ -2,12 +2,11 @@
 # Regenerates the measurements tracked in BENCH_placement.json: MVFB
 # intra-mapping scaling at 1/2/4 workers, the placer portfolio race,
 # and the incremental re-simulation family — checkpoint/fork suffix
-# replay per refinement step (engine.Sim), the annealing placer, and
-# MVFB with and without incremental forward evaluation. Run from the
-# repository root. Raw `go test -bench` output is written to $OUT
-# (default below) for hand-curation into BENCH_placement.json;
+# replay per refinement step (engine.Sim) and the annealing placer.
+# Run from the repository root. Raw `go test -bench` output is written
+# to $OUT (default below) for hand-curation into BENCH_placement.json;
 # latency/runs metrics must be identical at every worker count and in
-# both incremental modes — any drift is a determinism bug, not noise.
+# both annealing modes — any drift is a determinism bug, not noise.
 set -e
 OUT="${OUT:-/tmp/qspr_bench_placement.txt}"
 {
@@ -25,9 +24,6 @@ OUT="${OUT:-/tmp/qspr_bench_placement.txt}"
   echo
   echo "== Annealing placer, full restarts + time-to-best =="
   go test -run '^$' -bench 'BenchmarkAnneal$' -benchtime 3x ./internal/place/
-  echo
-  echo "== MVFB incremental vs cold (identical latency/runs) =="
-  go test -run '^$' -bench 'BenchmarkMVFBIncremental' -benchtime 3x ./internal/place/
 } | tee "$OUT"
 echo
 echo "raw output written to: $OUT (curate into BENCH_placement.json)"
