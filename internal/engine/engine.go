@@ -232,8 +232,8 @@ type Result struct {
 func Run(g *qidg.Graph, cfg Config, initial Placement) (*Result, error) {
 	cfg.CollectTrace = true
 	s := NewSim()
-	// The Sim dies with this call, so the Result can own the pooled
-	// trace directly instead of paying for a clone.
+	// Nothing reuses the Sim after this call, so the Result can own
+	// the pooled trace's ops instead of paying for a clone.
 	s.donateTrace = true
 	return s.Run(g, cfg, initial)
 }

@@ -104,8 +104,8 @@ type Sim struct {
 	stats   Stats
 	done    int
 
-	// donateTrace makes Run hand the pooled trace itself to the
-	// Result instead of cloning it — valid only when the Sim is
+	// donateTrace makes Run hand the pooled trace's ops to the
+	// Result instead of cloning them — valid only when the Sim is
 	// discarded afterwards (the one-shot Run wrapper), since the next
 	// Reset would corrupt the donated trace.
 	donateTrace bool
@@ -195,7 +195,11 @@ func (s *Sim) finishRun(initial Placement) (*Result, error) {
 	if s.collect {
 		s.tr.Sort()
 		if s.donateTrace {
-			res.Trace = &s.tr
+			// Copy the header out: a pointer into s would keep the
+			// whole Sim (route graph, ALT tables, pooled buffers)
+			// alive for as long as the Result.
+			tr := s.tr
+			res.Trace = &tr
 		} else {
 			res.Trace = s.tr.Clone()
 		}

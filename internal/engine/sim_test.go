@@ -3,10 +3,13 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/events"
 	"repro/internal/fabric"
+	"repro/internal/qidg"
 	"repro/internal/trace"
 )
 
@@ -240,4 +243,37 @@ func TestSimRouteGraphRebuildOnConfigChange(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDonatedRunReleasesSim: the one-shot Run hands its pooled trace
+// to the Result, but the Result must not keep the Sim alive. Its route
+// graph, landmark tables and pooled buffers become collectable as soon
+// as the run returns, while the Result and its trace live on.
+func TestDonatedRunReleasesSim(t *testing.T) {
+	tc := fingerprintCases(t)[0]
+	res, sim := donatedRun(t, tc.g, qsprConfig(tc.f), centerPlacement(tc.f, tc.g.NumQubits))
+	for i := 0; i < 5 && sim.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if sim.Value() != nil {
+		t.Fatal("the Sim of a donated run is still reachable from its Result")
+	}
+	if res.Trace == nil || len(res.Trace.Ops) == 0 || res.Trace.Latency != res.Latency {
+		t.Fatalf("donated trace lost: %+v", res.Trace)
+	}
+	runtime.KeepAlive(res)
+}
+
+// donatedRun maps the way Run does and returns the Result with a weak
+// reference to the Sim that produced it.
+func donatedRun(t *testing.T, g *qidg.Graph, cfg Config, p Placement) (*Result, weak.Pointer[Sim]) {
+	t.Helper()
+	s := NewSim()
+	s.donateTrace = true
+	cfg.CollectTrace = true
+	res, err := s.Run(g, cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, weak.Make(s)
 }

@@ -15,7 +15,11 @@
 // channel/junction/trap topology the router builds its graph from.
 package fabric
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // CellKind classifies one grid cell.
 type CellKind uint8
@@ -171,13 +175,13 @@ func (f *Fabric) TrapsByDistance(p Pos) []int {
 	for i := range ids {
 		ids[i] = i
 	}
-	sortBy(ids, func(a, b int) bool {
-		da := ManhattanDist(f.Traps[a].Pos, p)
-		db := ManhattanDist(f.Traps[b].Pos, p)
-		if da != db {
-			return da < db
+	// Every (distance, ID) key is distinct, so an unstable sort has a
+	// single possible output.
+	slices.SortFunc(ids, func(a, b int) int {
+		if c := cmp.Compare(ManhattanDist(f.Traps[a].Pos, p), ManhattanDist(f.Traps[b].Pos, p)); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	return ids
 }
@@ -200,26 +204,6 @@ func (f *Fabric) NearestTrap(p Pos, keep func(trapID int) bool) int {
 		}
 	}
 	return best
-}
-
-// sortBy is a tiny insertion/heap-free sort wrapper to avoid pulling
-// in reflect-heavy helpers; fabrics have at most a few hundred traps.
-func sortBy(s []int, less func(a, b int) bool) {
-	// Simple binary-insertion sort: deterministic and fast enough.
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		lo, hi := 0, i
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if less(v, s[mid]) {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		copy(s[lo+1:i+1], s[lo:i])
-		s[lo] = v
-	}
 }
 
 // Stats summarizes a fabric.

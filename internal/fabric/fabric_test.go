@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,23 +114,46 @@ func TestTrapAttachments(t *testing.T) {
 	}
 }
 
+// TestTrapsByDistanceSorted: TrapsByDistance lists every trap in
+// (distance, ID) order, checked against a brute-force order on the
+// small fabric and on a generated grid, from the center and from
+// random points inside and just outside the grid.
 func TestTrapsByDistanceSorted(t *testing.T) {
-	f := Small()
-	center := f.Center()
-	ids := f.TrapsByDistance(center)
-	if len(ids) != len(f.Traps) {
-		t.Fatalf("got %d ids", len(ids))
+	grid, _, err := Resolve("grid(rows=61,cols=61)")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(ids); i++ {
-		da := ManhattanDist(f.Traps[ids[i-1]].Pos, center)
-		db := ManhattanDist(f.Traps[ids[i]].Pos, center)
-		if da > db {
-			t.Fatalf("not sorted at %d: %d > %d", i, da, db)
+	rng := rand.New(rand.NewSource(43))
+	for _, f := range []*Fabric{Small(), grid} {
+		points := []Pos{f.Center()}
+		for k := 0; k < 20; k++ {
+			points = append(points, Pos{Row: rng.Intn(f.Rows+4) - 2, Col: rng.Intn(f.Cols+4) - 2})
 		}
-		if da == db && ids[i-1] > ids[i] {
-			t.Fatalf("tie not broken by ID at %d", i)
+		for _, p := range points {
+			got, want := f.TrapsByDistance(p), bruteTrapsByDistance(f, p)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d traps from %v: got %v, want %v", len(f.Traps), p, got, want)
+			}
 		}
 	}
+}
+
+// bruteTrapsByDistance lists the traps at distance 0 from p, then at
+// distance 1, and so on, each distance in trap ID order.
+func bruteTrapsByDistance(f *Fabric, p Pos) []int {
+	maxDist := 0
+	for _, tr := range f.Traps {
+		maxDist = max(maxDist, ManhattanDist(tr.Pos, p))
+	}
+	var out []int
+	for d := 0; d <= maxDist; d++ {
+		for i, tr := range f.Traps {
+			if ManhattanDist(tr.Pos, p) == d {
+				out = append(out, i)
+			}
+		}
+	}
+	return out
 }
 
 func TestNearestTrapFilter(t *testing.T) {

@@ -64,7 +64,7 @@ type altState struct {
 	numNodes int
 
 	search altSearcher
-	// hDst caches d(L, dst) for the query in flight.
+	// hDst caches d(L, dst) for the query in flight (see target).
 	hDst [altDefaultLandmarks]gates.Time
 }
 
@@ -238,7 +238,11 @@ func (g *Graph) baseSSSP(src int32, out []gates.Time) {
 // O(1) by generation stamping, so queries touch memory proportional
 // to the explored region, not the fabric.
 type altSearcher struct {
-	dist    []gates.Time
+	dist []gates.Time
+	// h is the landmark bound of each node the query has labeled,
+	// computed once per node and query; like dist it is valid where
+	// stamp == gen.
+	h       []gates.Time
 	hopc    []int32
 	stamp   []uint32
 	settled []uint32
@@ -262,6 +266,7 @@ func altLess(a, b altNode) bool {
 
 func (s *altSearcher) init(n int) {
 	s.dist = make([]gates.Time, n)
+	s.h = make([]gates.Time, n)
 	s.hopc = make([]int32, n)
 	s.stamp = make([]uint32, n)
 	s.settled = make([]uint32, n)
@@ -315,57 +320,60 @@ func (s *altSearcher) pop() altNode {
 	return h[n]
 }
 
-// heuristicTo prepares the query's d(L, dst) column and returns the
-// per-node lower bound function. A nil altState (oracle mode) yields
-// the zero heuristic, turning the search into plain Dijkstra over the
-// same label domain.
-func (a *altState) heuristicTo(dst int32) func(n int32) gates.Time {
+// target loads the query's d(L, dst) column for bound. A nil
+// altState (oracle mode) has nothing to load.
+func (a *altState) target(dst int32) {
 	if a == nil {
-		return nil
+		return
 	}
 	for l := range a.landmarks {
 		a.hDst[l] = a.dist[l*a.numNodes+int(dst)]
 	}
-	return func(n int32) gates.Time {
-		var h gates.Time
-		for l := range a.landmarks {
-			dn := a.dist[l*a.numNodes+int(n)]
-			dd := a.hDst[l]
-			if dn == timeInf || dd == timeInf {
-				continue
-			}
-			d := dd - dn
-			if d < 0 {
-				d = -d
-			}
-			if d > h {
-				h = d
-			}
-		}
-		return h
+}
+
+// bound is the landmark lower bound on the cost from node n to the
+// destination loaded by target. A nil altState (oracle mode) yields
+// the zero heuristic, turning the search into plain Dijkstra over the
+// same label domain.
+func (a *altState) bound(n int32) gates.Time {
+	if a == nil {
+		return 0
 	}
+	var h gates.Time
+	for l := range a.landmarks {
+		dn := a.dist[l*a.numNodes+int(n)]
+		dd := a.hDst[l]
+		if dn == timeInf || dd == timeInf {
+			continue
+		}
+		d := dd - dn
+		if d < 0 {
+			d = -d
+		}
+		if d > h {
+			h = d
+		}
+	}
+	return h
 }
 
 // runCanonical executes the lexicographic (cost, hops) search from
-// src to dst under the current Eq. 2 weights, with the optional
-// consistent heuristic h (nil = Dijkstra). Unlike searcher.run it
+// src to dst under the current Eq. 2 weights, with a's consistent
+// landmark heuristic (nil a = Dijkstra). Unlike searcher.run it
 // does NOT stop the moment dst settles: it keeps popping until the
 // heap minimum exceeds dst's final label, which settles every node
 // whose optimal f-label is <= it. That closure is exactly what makes
 // the backward canonical reconstruction independent of visit order.
-func (g *Graph) runCanonical(s *altSearcher, src, dst int32, h func(int32) gates.Time) bool {
+func (g *Graph) runCanonical(s *altSearcher, src, dst int32, a *altState) bool {
 	s.begin()
+	a.target(dst)
 	gen := s.gen
-	dist, hopc, stamp, settled := s.dist, s.hopc, s.stamp, s.settled
+	dist, hv, hopc, stamp, settled := s.dist, s.h, s.hopc, s.stamp, s.settled
 	kinds := g.nodeKind
 	start, list, other := g.edgeStart, g.edgeList, g.edgeOther
 
-	dist[src], hopc[src], stamp[src] = 0, 0, gen
-	var f0 gates.Time
-	if h != nil {
-		f0 = h(src)
-	}
-	s.push(altNode{f: f0, k: 0, node: src})
+	dist[src], hv[src], hopc[src], stamp[src] = 0, a.bound(src), 0, gen
+	s.push(altNode{f: hv[src], k: 0, node: src})
 	found := false
 	var boundF gates.Time
 	var boundK int32
@@ -379,11 +387,7 @@ func (g *Graph) runCanonical(s *altSearcher, src, dst int32, h func(int32) gates
 			continue
 		}
 		// Stale-entry check: the heap may hold superseded labels.
-		var curH gates.Time
-		if h != nil {
-			curH = h(cn)
-		}
-		if cur.f-curH != dist[cn] || cur.k != hopc[cn] {
+		if cur.f-hv[cn] != dist[cn] || cur.k != hopc[cn] {
 			continue
 		}
 		settled[cn] = gen
@@ -407,20 +411,20 @@ func (g *Graph) runCanonical(s *altSearcher, src, dst int32, h func(int32) gates
 				continue
 			}
 			nd, nk := d+w, k+1
+			var nh gates.Time
 			if stamp[next] == gen {
 				if od, ok := dist[next], hopc[next]; nd > od || (nd == od && nk >= ok) {
 					continue
 				}
-			}
-			var nh gates.Time
-			if h != nil {
-				nh = h(next)
+				nh = hv[next]
+			} else {
+				nh = a.bound(next)
 			}
 			nf := nd + nh
 			if found && (nf > boundF || (nf == boundF && nk > boundK)) {
 				continue // provably beyond every optimal label
 			}
-			dist[next], hopc[next], stamp[next] = nd, nk, gen
+			dist[next], hv[next], hopc[next], stamp[next] = nd, nh, nk, gen
 			s.push(altNode{f: nf, k: nk, node: next})
 		}
 	}
@@ -496,7 +500,7 @@ func (g *Graph) findRouteALT(fromTrap, toTrap int) (Route, bool) {
 	src := int32(g.trapNode[fromTrap])
 	dst := int32(g.trapNode[toTrap])
 	g.work.Searches++
-	found := g.runCanonical(&a.search, src, dst, a.heuristicTo(dst))
+	found := g.runCanonical(&a.search, src, dst, a)
 	if !found {
 		if uncongested {
 			g.putCacheEntry(key, &routeEntry{})

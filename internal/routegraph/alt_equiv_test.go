@@ -214,3 +214,87 @@ func TestALTMatchesOracleOnPaperFabrics(t *testing.T) {
 		})
 	}
 }
+
+// TestALTSaturatedDestinationSkip: in ALT mode FindRoute answers a
+// query whose destination trap sits on a saturated channel without a
+// search. On random occupancy states every such query must fail, leave
+// the search count unchanged and agree with the oracle, and every other
+// query must return what the full ALT search returns.
+func TestALTSaturatedDestinationSkip(t *testing.T) {
+	f, _, err := fabric.Resolve("grid(rows=25,cols=25)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	n := len(f.Traps)
+	skipped, found := 0, 0
+	for round := 0; round < 8; round++ {
+		opts := Options{TurnAware: round%2 == 0, Landmarks: 8}
+		if round%3 == 0 {
+			// Defective channels saturate their traps even on an idle
+			// graph, where the route cache is live.
+			opts.DefectiveChannels = []int{rng.Intn(len(f.Channels)), rng.Intn(len(f.Channels))}
+		}
+		short := New(f, gates.Default(), opts)
+		full := New(f, gates.Default(), opts)
+		occupy := func(gid int) {
+			if gr := &short.Groups[gid]; gr.occ < gr.Capacity {
+				short.Occupy(gid)
+				full.Occupy(gid)
+			}
+		}
+		for q := 0; q < 300; q++ {
+			switch q % 100 {
+			case 0:
+				// Back to idle, where the route cache answers.
+				short.Reset()
+				full.Reset()
+			case 50:
+				// Load random groups and fill the channels of a few
+				// random traps.
+				for k := 0; k < 20; k++ {
+					occupy(rng.Intn(len(short.Groups)))
+				}
+				for k := 0; k < 8; k++ {
+					gid := short.ChannelGroupID(f.Traps[rng.Intn(n)].Channel)
+					for c := 0; c < short.Groups[gid].Capacity; c++ {
+						occupy(gid)
+					}
+				}
+			}
+			a, b := rng.Intn(n), rng.Intn(n)
+			if a == b {
+				continue
+			}
+			if short.trapSaturated(b) {
+				searches := short.Work().Searches
+				_, ok := short.FindRoute(a, b)
+				_, oracleOK := short.OracleRoute(a, b)
+				if ok || oracleOK || short.Work().Searches != searches {
+					t.Fatalf("round %d query %d->%d to a saturated trap: found %v, oracle %v, searches %d -> %d",
+						round, a, b, ok, oracleOK, searches, short.Work().Searches)
+				}
+				skipped++
+				continue
+			}
+			r1, ok1 := short.FindRoute(a, b)
+			r2, ok2 := full.findRouteALT(a, b)
+			if d := routesDiffer(r1, ok1, r2, ok2); d != "" {
+				t.Fatalf("round %d query %d->%d: %s", round, a, b, d)
+			}
+			if !ok1 {
+				continue
+			}
+			found++
+			if q%3 == 0 && commitable(short, r1) {
+				r := r1.Clone()
+				short.Commit(r)
+				full.Commit(r)
+			}
+		}
+	}
+	if skipped == 0 || found == 0 {
+		t.Fatalf("weak test: %d skipped queries, %d routes found", skipped, found)
+	}
+	t.Logf("%d skipped queries, %d routes found", skipped, found)
+}

@@ -583,11 +583,19 @@ func (g *Graph) FindRoute(fromTrap, toTrap int) (Route, bool) {
 	var r Route
 	ok := false
 	switch {
-	case g.sourceSaturated(fromTrap):
+	case g.trapSaturated(fromTrap):
 		// Every edge at a trap node belongs to the trap's channel
 		// group (the two access edges and the trap-to-trap edges), so
 		// a search from a saturated source would settle the source
 		// alone and draw no coins: the answer is known without it.
+	case g.alt != nil && g.trapSaturated(toTrap):
+		// For the same reason no edge can enter a saturated
+		// destination. ALT draws no coins and a failed ALT search
+		// leaves nothing behind but a negative cache entry, which
+		// answers exactly as this check does. Classic mode must still
+		// run its flood: the search draws tie coins as it explores,
+		// and skipping it would shift the seeded stream for every
+		// later query.
 	case g.alt != nil:
 		r, ok = g.findRouteALT(fromTrap, toTrap)
 	default:
@@ -599,9 +607,9 @@ func (g *Graph) FindRoute(fromTrap, toTrap int) (Route, bool) {
 	return r, ok
 }
 
-// sourceSaturated reports whether a trap's channel group is full, so
-// that no route can leave the trap.
-func (g *Graph) sourceSaturated(trapID int) bool {
+// trapSaturated reports whether a trap's channel group is full, so
+// that no route can leave or enter the trap.
+func (g *Graph) trapSaturated(trapID int) bool {
 	gr := &g.Groups[g.chanGroup[g.Fabric.Traps[trapID].Channel]]
 	return gr.occ >= gr.Capacity
 }

@@ -397,7 +397,7 @@ func TestSaturatedSourceShortCircuit(t *testing.T) {
 			if a == b {
 				continue
 			}
-			if short.sourceSaturated(a) {
+			if short.trapSaturated(a) {
 				shortCircuits++
 			}
 			r1, ok1 := short.FindRoute(a, b)

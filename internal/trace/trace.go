@@ -26,7 +26,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -156,15 +158,14 @@ func (t *Trace) Clone() *Trace {
 // Sort orders ops by start time (stable on end time, then kind) so a
 // trace assembled from interleaved per-qubit streams reads naturally.
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Ops, func(i, j int) bool {
-		a, b := t.Ops[i], t.Ops[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+	slices.SortStableFunc(t.Ops, func(a, b Op) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		if a.End != b.End {
-			return a.End < b.End
+		if c := cmp.Compare(a.End, b.End); c != 0 {
+			return c
 		}
-		return a.Kind < b.Kind
+		return cmp.Compare(a.Kind, b.Kind)
 	})
 }
 

@@ -53,3 +53,47 @@ func TestRouteWorkCounts(t *testing.T) {
 		t.Errorf("route work %+v, want %+v", got, want)
 	}
 }
+
+// TestRouteWorkCountsALT pins the routing work of one QSPR-center
+// mapping on a 101×101 generated grid, whose route graph is past the
+// node count where routing switches to ALT, next to its latency. ALT
+// answers a query whose source or destination channel is full without
+// a search, so none of the 64 failed queries here costs a search.
+func TestRouteWorkCountsALT(t *testing.T) {
+	fab, _, err := fabric.Resolve("grid(rows=101,cols=101)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := circuits.Resolve("rand(q=20,g=150,seed=1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := qidg.Build(b.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.Config{
+		Fabric: fab, Tech: gates.Default(),
+		Policy: sched.QSPR, Weights: sched.DefaultWeights(),
+		TurnAware: true, BothMove: true, MedianTarget: true,
+	}
+	cfg.RouteGraph = cfg.BuildRouteGraph()
+	if !cfg.RouteGraph.ALTEnabled() {
+		t.Fatal("the 101×101 grid should route with ALT")
+	}
+	p, err := place.Center(fab, g.NumQubits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.Run(g, cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Latency != 4338 {
+		t.Fatalf("latency %v, want 4338µs", res.Latency)
+	}
+	want := routegraph.Work{Searches: 121, CacheHits: 0, Failures: 64}
+	if got := cfg.RouteGraph.Work(); got != want {
+		t.Errorf("route work %+v, want %+v", got, want)
+	}
+}
